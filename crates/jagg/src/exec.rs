@@ -32,12 +32,14 @@
 //! results splice back in chunk order, so the output is identical for
 //! every thread count and a 1-thread pool (or a row vector below
 //! `PAR_MIN_ROWS`) runs the exact sequential code inline. Everything a
-//! worker touches is read-only shared state: the executor's per-segment
-//! [`CanonTable`]s live in `OnceLock` slots and are built **eagerly, in
-//! parallel, before a `$group` fan-out** (never through `&mut self`
-//! laziness), and `$group` itself is a three-phase plan — parallel key
-//! resolution, a sequential unification barrier, parallel accumulation
-//! with an in-chunk-order merge (see `Engine::group`). `$sort`'s
+//! worker touches is read-only shared state: each segment's
+//! [`CanonTable`] is the segment tree's own build-once cache
+//! ([`JsonTree::canon`]), shared with every other query and the indexes;
+//! tables not built yet are built **eagerly, in parallel, before a
+//! `$group` fan-out** (never through `&mut self` laziness), and `$group`
+//! itself is a three-phase plan — parallel key resolution, a sequential
+//! unification barrier, parallel accumulation with an in-chunk-order
+//! merge (see `Engine::group`). `$sort`'s
 //! comparison sort, `$skip`/`$limit` and group-output assembly stay
 //! sequential on the merged stream.
 //!
@@ -62,7 +64,6 @@
 //!   semantics as the oracle.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use jguard::{QueryCtx, QueryError};
@@ -204,10 +205,6 @@ struct Engine<'c> {
     /// The query's governance context ([`QueryCtx::unlimited`] on the
     /// legacy path — every poll and charge is then a no-op branch).
     guard: QueryCtx,
-    /// Canonical-label tables, one slot per segment (the `$group` key fast
-    /// path). Thread-safe on-demand construction; `$group` fan-outs build
-    /// every missing slot eagerly (and in parallel) first.
-    canon: Vec<OnceLock<CanonTable>>,
 }
 
 impl<'c> Engine<'c> {
@@ -216,9 +213,6 @@ impl<'c> Engine<'c> {
             coll,
             pool: *coll.pool(),
             guard,
-            canon: (0..coll.segments().len())
-                .map(|_| OnceLock::new())
-                .collect(),
         }
     }
 
@@ -230,23 +224,25 @@ impl<'c> Engine<'c> {
         self.tree(d.seg).json_at(d.node)
     }
 
-    fn canon(&self, seg: u32) -> &CanonTable {
-        self.canon[seg as usize].get_or_init(|| {
-            self.guard.record(Counter::CanonBuilds, 1);
-            CanonTable::build(&self.coll.segments()[seg as usize])
-        })
+    /// The segment's canonical labels (the `$group` key fast path): the
+    /// tree's cached table, built here — and recorded as a
+    /// [`Counter::CanonBuilds`] — only if no earlier query built it.
+    fn canon(&self, seg: u32) -> &'c CanonTable {
+        self.tree(seg)
+            .canon_with(|| self.guard.record(Counter::CanonBuilds, 1))
     }
 
     /// Builds the missing canonical-label tables of every segment `rows`
     /// can resolve a key node in, fanning the builds out on the pool — the
     /// eager pre-fan-out form of [`Engine::canon`], so `$group` workers
-    /// only ever *read* the slots. Row key resolution can only land in a
+    /// only ever *read* built tables. Row key resolution can only land in a
     /// tree reachable from the row — its base cursor's segment or a
     /// binding's — so segments hosting no row (a selective leading
     /// `$match` over a fragmented collection leaves most of them empty)
     /// are never built.
     fn build_canon_for(&self, rows: &[Row]) -> Result<(), QueryError> {
-        let mut needed = vec![false; self.canon.len()];
+        let segments = self.coll.segments();
+        let mut needed = vec![false; segments.len()];
         for row in rows {
             if let Base::Node(d) = &row.base {
                 needed[d.seg as usize] = true;
@@ -255,21 +251,17 @@ impl<'c> Engine<'c> {
                 needed[v.seg as usize] = true;
             }
         }
-        let missing: Vec<usize> = (0..self.canon.len())
-            .filter(|&i| needed[i] && self.canon[i].get().is_none())
+        let missing: Vec<u32> = (0..segments.len())
+            .filter(|&i| needed[i] && segments[i].cached_canon().is_none())
+            .map(|i| i as u32)
             .collect();
         if missing.is_empty() {
             return Ok(());
         }
-        let built = self.pool.try_map(&self.guard, missing.len(), |k| {
-            self.guard.record(Counter::CanonBuilds, 1);
-            Ok(CanonTable::build(&self.coll.segments()[missing[k]]))
+        self.pool.try_map(&self.guard, missing.len(), |k| {
+            self.canon(missing[k]);
+            Ok(())
         })?;
-        for (i, table) in missing.into_iter().zip(built) {
-            // A racing get_or_init may have won the slot; either table is
-            // byte-identical (class assignment is deterministic per tree).
-            let _ = self.canon[i].set(table);
-        }
         Ok(())
     }
 
@@ -824,7 +816,7 @@ impl<'c> Engine<'c> {
         let n = rows.len();
         let chunk = self.row_chunk(n);
         if chunk < n && matches!(spec.id, IdExpr::Field(_)) {
-            // The fan-out reads canon slots; build the reachable ones up
+            // The fan-out reads canon tables; build the reachable ones up
             // front.
             self.build_canon_for(&rows)?;
         }

@@ -68,8 +68,9 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
             let rel = relation(ctx, alpha);
             let mut target = BitSet::new(n);
             if let Some(class) = ctx.class_of_doc(doc) {
+                let canon = ctx.canon();
                 for i in 0..n {
-                    if ctx.canon.class_of(NodeId::from_index(i)) == class {
+                    if canon.class_of(NodeId::from_index(i)) == class {
                         target.insert(i);
                     }
                 }
@@ -79,6 +80,7 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
         Unary::EqPair(alpha, beta) => {
             let ra = relation(ctx, alpha);
             let rb = relation(ctx, beta);
+            let canon = ctx.canon();
             (0..n)
                 .map(|i| {
                     // Compare canonical-class images of the two rows.
@@ -89,11 +91,11 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
                     };
                     let classes: HashSet<u32> = small
                         .iter()
-                        .map(|m| ctx.canon.class_of(NodeId::from_index(m)))
+                        .map(|m| canon.class_of(NodeId::from_index(m)))
                         .collect();
                     large
                         .iter()
-                        .any(|m| classes.contains(&ctx.canon.class_of(NodeId::from_index(m))))
+                        .any(|m| classes.contains(&canon.class_of(NodeId::from_index(m))))
                 })
                 .collect()
         }

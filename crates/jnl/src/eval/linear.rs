@@ -92,12 +92,13 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> Result<NodeSet, EvalErr
                 // The document does not occur in the tree at all.
                 return Ok(vec![false; n]);
             };
+            let canon = ctx.canon();
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 ctx.poll_at(i)?;
                 out.push(
                     walk(ctx.tree, &steps, NodeId::from_index(i))
-                        .is_some_and(|m| ctx.canon.class_of(m) == target),
+                        .is_some_and(|m| canon.class_of(m) == target),
                 );
             }
             out
@@ -105,13 +106,14 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> Result<NodeSet, EvalErr
         Unary::EqPair(alpha, beta) => {
             let sa = compile(ctx, alpha)?;
             let sb = compile(ctx, beta)?;
+            let canon = ctx.canon();
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 ctx.poll_at(i)?;
                 let from = NodeId::from_index(i);
                 out.push(
                     match (walk(ctx.tree, &sa, from), walk(ctx.tree, &sb, from)) {
-                        (Some(x), Some(y)) => ctx.canon.equal(x, y),
+                        (Some(x), Some(y)) => canon.equal(x, y),
                         _ => false,
                     },
                 );

@@ -12,7 +12,9 @@
 //!
 //! [`evaluate`] dispatches to the cheapest engine that supports the
 //! formula's fragment. All engines share the [`EvalContext`] (tree +
-//! canonical subtree labels + per-regex edge-match caches).
+//! per-regex edge-match caches + the tree's cached canonical subtree
+//! labels); the [`naive`] oracle labels the tree into a private table
+//! instead, so a fault in the shared cache cannot hide from it.
 
 pub mod cubic;
 pub mod linear;
@@ -61,8 +63,9 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Shared evaluation state for one tree: canonical labels plus the
-/// per-regex edge matchers of the Proposition 3 proof's preprocessing step.
+/// Shared evaluation state for one tree: the per-regex edge matchers of
+/// the Proposition 3 proof's preprocessing step, plus access to the tree's
+/// canonical labels.
 ///
 /// Edge keys live in the tree itself as interned [`Sym`]s — nothing is
 /// cloned here. On the default [`EdgeStrategy::DfaBitset`] tier each regex
@@ -70,11 +73,14 @@ impl std::error::Error for EvalError {}
 /// symbol table in one pass, so every later edge test is a single bit load
 /// (no string resolution, no automaton run); regexes too large to
 /// determinise fall back to the lazy per-`(regex, symbol)` memo.
+///
+/// The canonical labels are not owned here: [`EvalContext::canon`] borrows
+/// the tree's cached table ([`JsonTree::canon`]), so only the first
+/// equality test ever made on a tree builds it, and formulas without
+/// `EQ` never do.
 pub struct EvalContext<'t> {
     /// The document tree.
     pub tree: &'t JsonTree,
-    /// Canonical subtree labels (the online-equality refinement of Prop 1).
-    pub canon: CanonTable,
     /// `regex → edge matcher` (bitset tier with lazy-memo fallback).
     matchers: SymMatcherTable,
     /// Governance handle for cooperative interruption (unlimited — a
@@ -83,8 +89,8 @@ pub struct EvalContext<'t> {
 }
 
 impl<'t> EvalContext<'t> {
-    /// Builds the context (one `O(|J|)` pass for the canonical labels; the
-    /// edge matchers compile on first sight of each regex).
+    /// Builds the context (the edge matchers compile on first sight of
+    /// each regex).
     pub fn new(tree: &'t JsonTree) -> EvalContext<'t> {
         EvalContext::with_strategy(tree, EdgeStrategy::default())
     }
@@ -94,7 +100,6 @@ impl<'t> EvalContext<'t> {
     pub fn with_strategy(tree: &'t JsonTree, strategy: EdgeStrategy) -> EvalContext<'t> {
         EvalContext {
             tree,
-            canon: CanonTable::build(tree),
             matchers: SymMatcherTable::with_strategy(strategy),
             guard: QueryCtx::unlimited(),
         }
@@ -104,13 +109,21 @@ impl<'t> EvalContext<'t> {
     /// evaluation loops poll `guard` (every [`jguard::POLL_STRIDE`]
     /// nodes) and stop with [`EvalError::Interrupted`] when it fails.
     pub fn with_guard(tree: &'t JsonTree, guard: QueryCtx) -> EvalContext<'t> {
-        // The canon table was just built by `new` — make the work visible
-        // to a metrics sink riding on the guard.
-        guard.record(Counter::CanonBuilds, 1);
         EvalContext {
             guard,
             ..EvalContext::new(tree)
         }
+    }
+
+    /// The tree's canonical subtree labels (the online-equality refinement
+    /// of Prop 1), built on first use and cached on the tree. A build made
+    /// by this call is recorded against the guard's metrics sink
+    /// ([`Counter::CanonBuilds`]); a cache hit records nothing. Fetch once
+    /// before a per-node loop.
+    pub fn canon(&self) -> &'t CanonTable {
+        let guard = &self.guard;
+        self.tree
+            .canon_with(|| guard.record(Counter::CanonBuilds, 1))
     }
 
     /// The amortised per-node guard poll for loops that carry an index:
@@ -183,7 +196,7 @@ impl<'t> EvalContext<'t> {
     /// The canonical class of an external document within this tree, if the
     /// document occurs as a subtree.
     pub fn class_of_doc(&self, doc: &Json) -> Option<u32> {
-        self.canon.class_of_json(self.tree, doc)
+        self.canon().class_of_json(self.tree, doc)
     }
 }
 
@@ -209,10 +222,10 @@ pub fn evaluate(tree: &JsonTree, phi: &Unary) -> NodeSet {
 /// `mongofind` tree column is one independent whole-tree evaluation).
 ///
 /// Every per-tree evaluation owns its *entire* mutable state — the
-/// [`EvalContext`] with its canonical-label table and regex edge
-/// matchers/DFA bitsets is built inside the worker, per tree, exactly as
-/// in the sequential path — so workers share only the immutable trees and
-/// formula. Results come back in tree order regardless of thread count,
+/// [`EvalContext`] with its regex edge matchers/DFA bitsets is built
+/// inside the worker, per tree, exactly as in the sequential path — so
+/// workers share only the immutable trees (with their build-once
+/// canonical-label tables) and the formula. Results come back in tree order regardless of thread count,
 /// and a 1-thread pool runs the trees inline in order (byte-identical to
 /// mapping [`evaluate`] yourself).
 ///

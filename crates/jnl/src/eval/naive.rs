@@ -8,23 +8,27 @@
 
 use std::collections::HashSet;
 
-use jsondata::{JsonTree, NodeId};
+use jsondata::{CanonTable, JsonTree, NodeId};
 
 use crate::ast::{Binary, Unary};
 use crate::eval::{EvalContext, NodeSet};
 
 /// Evaluates `φ`, returning the satisfying node set.
 pub fn eval(tree: &JsonTree, phi: &Unary) -> NodeSet {
+    // The oracle labels the tree itself, into a private table, rather than
+    // reading the cached labels (`JsonTree::canon`) that the engines under
+    // test share.
+    let canon = CanonTable::build(tree);
     let mut ctx = EvalContext::new(tree);
-    eval_unary(&mut ctx, phi)
+    eval_unary(&mut ctx, &canon, phi)
 }
 
-fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
+fn eval_unary(ctx: &mut EvalContext<'_>, canon: &CanonTable, phi: &Unary) -> NodeSet {
     let n = ctx.tree.node_count();
     match phi {
         Unary::True => vec![true; n],
         Unary::Not(p) => {
-            let mut s = eval_unary(ctx, p);
+            let mut s = eval_unary(ctx, canon, p);
             for b in &mut s {
                 *b = !*b;
             }
@@ -33,7 +37,7 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
         Unary::And(ps) => {
             let mut acc = vec![true; n];
             for p in ps {
-                let s = eval_unary(ctx, p);
+                let s = eval_unary(ctx, canon, p);
                 for (a, b) in acc.iter_mut().zip(s) {
                     *a &= b;
                 }
@@ -43,7 +47,7 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
         Unary::Or(ps) => {
             let mut acc = vec![false; n];
             for p in ps {
-                let s = eval_unary(ctx, p);
+                let s = eval_unary(ctx, canon, p);
                 for (a, b) in acc.iter_mut().zip(s) {
                     *a |= b;
                 }
@@ -51,7 +55,7 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
             acc
         }
         Unary::Exists(alpha) => {
-            let pairs = eval_binary(ctx, alpha);
+            let pairs = eval_binary(ctx, canon, alpha);
             let mut s = vec![false; n];
             for (a, _) in pairs {
                 s[a.index()] = true;
@@ -59,12 +63,12 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
             s
         }
         Unary::EqDoc(alpha, doc) => {
-            let target = ctx.class_of_doc(doc);
-            let pairs = eval_binary(ctx, alpha);
+            let target = canon.class_of_json(ctx.tree, doc);
+            let pairs = eval_binary(ctx, canon, alpha);
             let mut s = vec![false; n];
             if let Some(t) = target {
                 for (a, b) in pairs {
-                    if ctx.canon.class_of(b) == t {
+                    if canon.class_of(b) == t {
                         s[a.index()] = true;
                     }
                 }
@@ -72,16 +76,16 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
             s
         }
         Unary::EqPair(alpha, beta) => {
-            let pa = eval_binary(ctx, alpha);
-            let pb = eval_binary(ctx, beta);
+            let pa = eval_binary(ctx, canon, alpha);
+            let pb = eval_binary(ctx, canon, beta);
             let mut s = vec![false; n];
             // Group reachable classes per source node.
             let mut per_a: Vec<HashSet<u32>> = vec![HashSet::new(); n];
             for (a, x) in &pa {
-                per_a[a.index()].insert(ctx.canon.class_of(*x));
+                per_a[a.index()].insert(canon.class_of(*x));
             }
             for (a, y) in &pb {
-                if per_a[a.index()].contains(&ctx.canon.class_of(*y)) {
+                if per_a[a.index()].contains(&canon.class_of(*y)) {
                     s[a.index()] = true;
                 }
             }
@@ -91,12 +95,16 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
 }
 
 /// Materialises `JαK_J` as a set of node pairs.
-fn eval_binary(ctx: &mut EvalContext<'_>, alpha: &Binary) -> HashSet<(NodeId, NodeId)> {
+fn eval_binary(
+    ctx: &mut EvalContext<'_>,
+    canon: &CanonTable,
+    alpha: &Binary,
+) -> HashSet<(NodeId, NodeId)> {
     let tree = ctx.tree;
     match alpha {
         Binary::Epsilon => tree.node_ids().map(|n| (n, n)).collect(),
         Binary::Test(phi) => {
-            let s = eval_unary(ctx, phi);
+            let s = eval_unary(ctx, canon, phi);
             tree.node_ids()
                 .filter(|n| s[n.index()])
                 .map(|n| (n, n))
@@ -148,14 +156,14 @@ fn eval_binary(ctx: &mut EvalContext<'_>, alpha: &Binary) -> HashSet<(NodeId, No
         Binary::Compose(parts) => {
             let mut acc: HashSet<(NodeId, NodeId)> = tree.node_ids().map(|n| (n, n)).collect();
             for p in parts {
-                let step = eval_binary(ctx, p);
+                let step = eval_binary(ctx, canon, p);
                 acc = compose(&acc, &step);
             }
             acc
         }
         Binary::Star(inner) => {
             // Jα*K = JεK ∪ JαK ∪ Jα∘αK ∪ … as an increasing fixpoint.
-            let step = eval_binary(ctx, inner);
+            let step = eval_binary(ctx, canon, inner);
             let mut acc: HashSet<(NodeId, NodeId)> = tree.node_ids().map(|n| (n, n)).collect();
             loop {
                 let next = compose(&acc, &step);

@@ -72,8 +72,9 @@ fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> Result<NodeSet, EvalErr
         Unary::EqDoc(alpha, doc) => {
             let mut target = vec![false; n];
             if let Some(class) = ctx.class_of_doc(doc) {
+                let canon = ctx.canon();
                 for (i, t) in target.iter_mut().enumerate() {
-                    *t = ctx.canon.class_of(NodeId::from_index(i)) == class;
+                    *t = canon.class_of(NodeId::from_index(i)) == class;
                 }
             }
             pre(ctx, alpha, &target)?

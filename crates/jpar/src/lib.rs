@@ -17,10 +17,12 @@
 //!   workers; nothing behind `&mut` crosses a thread boundary. Callers
 //!   that used to build caches lazily through `&mut self` (canonical
 //!   subtree tables, regex edge bitsets) must either build them
-//!   **eagerly before the fan-out** or make them **worker-owned**
-//!   (each worker builds its own) — the `jagg` executor does the
-//!   former for `CanonTable`s, the JNL batch evaluator does the latter
-//!   for its whole evaluation context.
+//!   **eagerly before the fan-out**, make them **worker-owned** (each
+//!   worker builds its own), or keep them in a `OnceLock` on the
+//!   immutable data they derive from. Each segment tree holds its
+//!   `CanonTable` that way, and the `jagg` executor warms the missing
+//!   ones before a `$group` fan-out; the JNL batch evaluator keeps the
+//!   rest of its evaluation context (regex matchers) worker-owned.
 //! * **Work is stolen in chunks.** [`Pool::map_chunks`] splits `0..n`
 //!   into fixed-size chunks; workers claim chunk indices from one
 //!   atomic counter (`fetch_add`), so a slow chunk never stalls the

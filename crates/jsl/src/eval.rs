@@ -38,7 +38,8 @@ pub struct EvalOptions {
     pub edge: EdgeStrategy,
 }
 
-/// Shared evaluation state (canonical table + per-regex edge matchers).
+/// Shared evaluation state (per-regex edge matchers; canonical labels are
+/// read from the tree's cache, see [`JslContext::canon`]).
 ///
 /// Both edge keys and string atoms are interned by the tree, so every regex
 /// — key modality or `Pattern` node test — is compiled once per (query,
@@ -47,8 +48,6 @@ pub struct EvalOptions {
 pub struct JslContext<'t> {
     /// The tree under evaluation.
     pub tree: &'t JsonTree,
-    /// Canonical subtree labels.
-    pub canon: CanonTable,
     matchers: SymMatcherTable,
     options: EvalOptions,
 }
@@ -63,10 +62,16 @@ impl<'t> JslContext<'t> {
     pub fn with_options(tree: &'t JsonTree, options: EvalOptions) -> JslContext<'t> {
         JslContext {
             tree,
-            canon: CanonTable::build(tree),
             matchers: SymMatcherTable::with_strategy(options.edge),
             options,
         }
+    }
+
+    /// Canonical subtree labels: the tree's cached table
+    /// ([`JsonTree::canon`]), built by the first `EqDoc`/`Unique` test ever
+    /// made on the tree and shared with every later query.
+    pub fn canon(&self) -> &'t CanonTable {
+        self.tree.canon()
     }
 
     /// Whether the string behind `sym` matches `e` — a bit load on the
@@ -107,7 +112,8 @@ impl<'t> JslContext<'t> {
             NodeTest::MinCh(i) => (tree.child_count(n) as u64) >= *i,
             NodeTest::MaxCh(i) => (tree.child_count(n) as u64) <= *i,
             NodeTest::EqDoc(doc) => {
-                self.canon.class_of_json(tree, doc) == Some(self.canon.class_of(n))
+                let canon = self.canon();
+                canon.class_of_json(tree, doc) == Some(canon.class_of(n))
             }
             NodeTest::Unique => self.unique(n),
         }
@@ -121,7 +127,8 @@ impl<'t> JslContext<'t> {
         let cs = tree.arr_children(n);
         match self.options.unique {
             UniqueStrategy::Canonical => {
-                let mut classes: Vec<u32> = cs.iter().map(|c| self.canon.class_of(*c)).collect();
+                let canon = self.canon();
+                let mut classes: Vec<u32> = cs.iter().map(|c| canon.class_of(*c)).collect();
                 classes.sort_unstable();
                 classes.windows(2).all(|w| w[0] != w[1])
             }

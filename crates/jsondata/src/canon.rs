@@ -23,7 +23,9 @@ use crate::intern::Sym;
 use crate::tree::{JsonTree, NodeId, NodeKind};
 use crate::value::Json;
 
-/// A canonical-label table for one [`JsonTree`].
+/// A canonical-label table for one [`JsonTree`]. Queries read the tree's
+/// cached table ([`JsonTree::canon`]); [`CanonTable::build`] always builds
+/// a fresh one.
 pub struct CanonTable {
     class: Vec<u32>,
     interner: FxHashMap<Sig, u32>,
@@ -166,6 +168,19 @@ impl CanonTable {
 mod tests {
     use super::*;
     use crate::parse::parse;
+
+    #[test]
+    fn tree_caches_one_table() {
+        let t = JsonTree::build(&parse(r#"[{"a": 1}, {"a": 1}]"#).unwrap());
+        assert!(t.cached_canon().is_none());
+        let mut builds = 0;
+        let first: *const CanonTable = t.canon_with(|| builds += 1);
+        let second: *const CanonTable = t.canon_with(|| builds += 1);
+        assert_eq!(builds, 1, "only the building call runs the hook");
+        assert!(std::ptr::eq(first, second));
+        assert!(std::ptr::eq(first, t.canon()));
+        assert_eq!(t.canon().classes(), CanonTable::build(&t).classes());
+    }
 
     fn table(src: &str) -> (JsonTree, CanonTable) {
         let t = JsonTree::build(&parse(src).unwrap());

@@ -24,9 +24,15 @@
 //! * Construction and reconstruction are iterative: document depth never
 //!   translates into call-stack depth, so million-node chain documents used
 //!   by the scaling benchmarks are safe.
+//! * State derived from the whole tree is built once and cached on it:
+//!   the canonical-label table ([`JsonTree::canon`]) is computed on first
+//!   use and shared by every later query over the tree, however it is held
+//!   (`&JsonTree`, `Arc<JsonTree>`).
 
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::canon::CanonTable;
 use crate::fxhash::FxHashSet;
 use crate::intern::{Interner, Sym};
 use crate::value::Json;
@@ -121,6 +127,8 @@ pub struct JsonTree {
     size: Vec<u32>,
     /// The per-tree symbol table for keys and string atoms.
     interner: Interner,
+    /// The canonical-label table, built on first [`JsonTree::canon`].
+    canon: OnceLock<CanonTable>,
 }
 
 /// The streaming construction core shared by [`JsonTree::build`] and the
@@ -365,6 +373,7 @@ impl TreeBuilder {
             height,
             size,
             interner: self.interner,
+            canon: OnceLock::new(),
         }
     }
 }
@@ -448,7 +457,7 @@ impl JsonTree {
     /// symbol assignment into a **single array-rooted tree**: the result's
     /// root is an array whose `i`-th element is a copy of `parts[i]`'s
     /// subtree. This is the segment-compaction primitive of
-    /// `mongofind::Collection::compact` — many single-document insert
+    /// `mongofind::Collection::merge_from` — many single-document insert
     /// segments replay into one tree so per-segment dispatch overhead
     /// (one JNL evaluation, one canonical-label table, one parallel task
     /// *per segment*) collapses to one.
@@ -557,6 +566,28 @@ impl JsonTree {
     /// The tree's symbol table (object keys and string atoms).
     pub fn interner(&self) -> &Interner {
         &self.interner
+    }
+
+    /// The tree's canonical-label table: built in one `O(|J|)` pass on the
+    /// first call, then cached. A tree never changes after construction,
+    /// so every query, index and executor over it reads this one table.
+    pub fn canon(&self) -> &CanonTable {
+        self.canon_with(|| {})
+    }
+
+    /// [`JsonTree::canon`], calling `on_build` exactly when this call is
+    /// the one that builds the table (never on a cache hit, and once even
+    /// when threads race). Metrics sinks count table builds through it.
+    pub fn canon_with(&self, on_build: impl FnOnce()) -> &CanonTable {
+        self.canon.get_or_init(|| {
+            on_build();
+            CanonTable::build(self)
+        })
+    }
+
+    /// The canonical-label table if it is already built; never builds.
+    pub fn cached_canon(&self) -> Option<&CanonTable> {
+        self.canon.get()
     }
 
     /// The symbol of `key` in this tree, if any node's edge or string leaf

@@ -70,8 +70,11 @@ pub enum Counter {
     /// Per-query DFA symbol-bitset matcher compilations
     /// (`relex::SymMatcherTable` misses inside `jnl::eval`).
     DfaBitsetBuilds,
-    /// `CanonTable` constructions performed on behalf of the query
-    /// (`$group` key classing; one per segment at most).
+    /// `CanonTable`s actually built on behalf of the query (JNL `EQ`
+    /// tests, `$group` key classing). A segment tree builds its table once
+    /// and caches it, so only the first query to need a segment's table
+    /// records a build; every later query over that segment reads the
+    /// cache and records nothing.
     CanonBuilds,
     /// Bytes debited from the byte budget (only charged when a byte budget
     /// is configured — see `jguard::QueryCtx::charge_json`).

@@ -3,13 +3,16 @@
 //! Two structures per declared path, both keyed through the collection's
 //! interned substrate rather than re-materialised values:
 //!
-//! * a **hash index** on `(path, canon-class)` — per segment, a
-//!   [`CanonTable`] assigns every subtree a hash-consed class id, and the
-//!   posting map sends each class to the ascending document ordinals whose
-//!   path value lands in that class. `$eq` probes an external constant via
-//!   [`CanonTable::class_of_json`]; an un-interned constant is a *proof of
-//!   absence* (no document can hold it), so the probe answers in O(1)
-//!   without touching a document. `$in` is a union of `$eq` probes.
+//! * a **hash index** on `(path, canon-class)` — per segment, the tree's
+//!   cached [`CanonTable`](jsondata::CanonTable) ([`JsonTree::canon`],
+//!   the same table every query over the segment reads) assigns every
+//!   subtree a hash-consed class id, and the posting map sends each class
+//!   to the ascending document ordinals whose path value lands in that
+//!   class. `$eq` probes an external constant via
+//!   [`class_of_json`](jsondata::CanonTable::class_of_json); an
+//!   un-interned constant is a *proof of absence* (no document can hold
+//!   it), so the probe answers in O(1) without touching a document. `$in`
+//!   is a union of `$eq` probes.
 //! * a **sorted column** — per segment, the `(ordinal, value-node)` pairs
 //!   ordered by [`cmp_nodes`](crate::cmp_nodes) (the node-node twin of
 //!   [`Json::total_cmp`]); `$gt`/`$gte`/`$lt`/`$lte` binary-search the
@@ -19,9 +22,11 @@
 //!
 //! Both are **per-segment**: [`Collection::insert`] appends a single-doc
 //! segment and [`IndexSet::add_segment`] extends every index incrementally
-//! without touching existing postings; [`Collection::compact`] invalidates
-//! all node ids and classes, so it rebuilds from scratch
-//! ([`IndexSet::rebuild`]).
+//! without touching existing postings. [`Collection::merge_from`] replaces
+//! the suffix `segments[k..]` by one merged segment: only that segment's
+//! postings are rebuilt ([`IndexSet::rebuild_from`]). Global ordinals of
+//! documents before the merge point do not move, so the postings of
+//! `segments[..k]` stay valid and stay shared by [`Arc`].
 //!
 //! Planning ([`IndexSet::plan`]) flattens a conjunctive filter and splits
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
@@ -42,30 +47,26 @@ use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::bitset::BitSet;
-use jsondata::canon::CanonTable;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
 use crate::{cmp_node_json, cmp_nodes, expect_ungoverned, Cmp, Collection, DocRef, Filter, Path};
 
-/// All secondary indexes of one [`Collection`], plus the per-segment
-/// canonical-label tables they share. Empty (the default) until
+/// All secondary indexes of one [`Collection`]. Empty (the default) until
 /// [`Collection::create_index`] declares a path; an empty set costs
 /// nothing on insert.
 ///
-/// Per-segment postings and canon tables are immutable once built (a
-/// segment's contents never change; maintenance only *appends* new
-/// per-segment entries), so they sit behind [`Arc`]s and cloning an
+/// Per-segment postings are immutable once built (a segment's contents
+/// never change; maintenance only *appends* new per-segment entries or
+/// replaces a merged suffix), so they sit behind [`Arc`]s and cloning an
 /// `IndexSet` — which `Collection::clone` does for every snapshot — is
-/// a vector of reference bumps, never a posting rebuild.
+/// one reference bump per `(path, segment)` pair, never a posting
+/// rebuild. The canonical classes the hash side is keyed by are the
+/// segment trees' own cached tables ([`JsonTree::canon`]).
 #[derive(Default, Clone)]
 pub struct IndexSet {
     /// One index per declared path, in declaration order.
     paths: Vec<PathIndex>,
-    /// One [`CanonTable`] per segment, shared by every path index (built
-    /// lazily on the first `create_index`, parallel to
-    /// `Collection::segments` from then on).
-    canons: Vec<Arc<CanonTable>>,
 }
 
 /// One declared index: the dotted path and its per-segment postings.
@@ -112,12 +113,8 @@ pub(crate) struct IndexPlan<'f> {
 
 /// Builds the postings of one `(path, segment)` pair from the segment's
 /// `(ordinal, doc-root)` list.
-fn build_posting(
-    path: &Path,
-    tree: &JsonTree,
-    canon: &CanonTable,
-    docs: &[(u32, NodeId)],
-) -> SegPosting {
+fn build_posting(path: &Path, tree: &JsonTree, docs: &[(u32, NodeId)]) -> SegPosting {
+    let canon = tree.canon();
     let mut eq: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut sorted: Vec<(u32, NodeId)> = Vec::new();
     for &(ord, doc) in docs {
@@ -131,14 +128,31 @@ fn build_posting(
     SegPosting { eq, sorted }
 }
 
-/// Groups document ordinals by segment: `out[seg]` lists the
-/// `(global ordinal, doc-root)` pairs of that segment, in order.
-fn group_by_segment(n_segs: usize, doc_refs: &[DocRef]) -> Vec<Vec<(u32, NodeId)>> {
-    let mut per: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n_segs];
-    for (i, d) in doc_refs.iter().enumerate() {
-        per[d.seg as usize].push((i as u32, d.node));
+/// Groups the document ordinals of `segments[from..]` by segment:
+/// `out[s - from]` lists the `(global ordinal, doc-root)` pairs of segment
+/// `s`, in order. Documents are stored in segment order, so the ones
+/// before `from` are skipped without being visited.
+fn group_by_segment(from: usize, n_segs: usize, doc_refs: &[DocRef]) -> Vec<Vec<(u32, NodeId)>> {
+    let first = doc_refs.partition_point(|d| (d.seg as usize) < from);
+    let mut per: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n_segs - from];
+    for (i, d) in doc_refs.iter().enumerate().skip(first) {
+        per[d.seg as usize - from].push((i as u32, d.node));
     }
     per
+}
+
+/// The postings of `path` over `segments[from..]`.
+fn build_postings(
+    path: &Path,
+    from: usize,
+    segments: &[Arc<JsonTree>],
+    doc_refs: &[DocRef],
+) -> Vec<Arc<SegPosting>> {
+    group_by_segment(from, segments.len(), doc_refs)
+        .iter()
+        .zip(&segments[from..])
+        .map(|(docs, tree)| Arc::new(build_posting(path, tree, docs)))
+        .collect()
 }
 
 impl IndexSet {
@@ -164,14 +178,6 @@ impl IndexSet {
         &self.paths[i].name
     }
 
-    /// Ensures one [`CanonTable`] per segment (no-op when already built).
-    fn ensure_canons(&mut self, segments: &[Arc<JsonTree>]) {
-        while self.canons.len() < segments.len() {
-            self.canons
-                .push(Arc::new(CanonTable::build(&segments[self.canons.len()])));
-        }
-    }
-
     /// Declares an index on `path_str`, building it over the current
     /// column. Returns `false` (and changes nothing) if already declared.
     pub(crate) fn create(
@@ -183,19 +189,8 @@ impl IndexSet {
         if self.paths.iter().any(|p| p.name == path_str) {
             return false;
         }
-        self.ensure_canons(segments);
         let path = Path::parse(path_str);
-        let per_seg = group_by_segment(segments.len(), doc_refs);
-        let segs = (0..segments.len())
-            .map(|s| {
-                Arc::new(build_posting(
-                    &path,
-                    &segments[s],
-                    &self.canons[s],
-                    &per_seg[s],
-                ))
-            })
-            .collect();
+        let segs = build_postings(&path, 0, segments, doc_refs);
         self.paths.push(PathIndex {
             name: path_str.to_owned(),
             path,
@@ -205,9 +200,9 @@ impl IndexSet {
     }
 
     /// Incremental maintenance for [`Collection::insert`]: the new
-    /// single-document segment at `doc_refs[new_ordinal]` gets its canon
-    /// table and one posting per declared index; existing postings are
-    /// untouched. No-op while no index is declared.
+    /// single-document segment at `doc_refs[new_ordinal]` gets one posting
+    /// per declared index (building the segment's canon table); existing
+    /// postings are untouched. No-op while no index is declared.
     pub(crate) fn add_segment(
         &mut self,
         segments: &[Arc<JsonTree>],
@@ -218,43 +213,33 @@ impl IndexSet {
             return;
         }
         let d = doc_refs[new_ordinal];
-        debug_assert_eq!(
-            d.seg as usize,
-            self.canons.len(),
-            "segments append one at a time"
-        );
         let tree = &segments[d.seg as usize];
-        self.canons.push(Arc::new(CanonTable::build(tree)));
-        let canon = self.canons.last().expect("just pushed");
         let docs = [(new_ordinal as u32, d.node)];
         for pi in &mut self.paths {
-            let posting = build_posting(&pi.path, tree, canon, &docs);
-            pi.segs.push(Arc::new(posting));
+            debug_assert_eq!(
+                d.seg as usize,
+                pi.segs.len(),
+                "segments append one at a time"
+            );
+            pi.segs.push(Arc::new(build_posting(&pi.path, tree, &docs)));
         }
     }
 
-    /// Full rebuild for [`Collection::compact`]: node ids and canon
-    /// classes are all invalidated by the segment merge, so every table
-    /// and posting is reconstructed from the new column.
-    pub(crate) fn rebuild(&mut self, segments: &[Arc<JsonTree>], doc_refs: &[DocRef]) {
-        if self.paths.is_empty() {
-            return;
-        }
-        self.canons.clear();
-        self.ensure_canons(segments);
-        let per_seg = group_by_segment(segments.len(), doc_refs);
-        let canons = &self.canons;
+    /// Partial rebuild for [`Collection::merge_from`]: `segments[from..]`
+    /// was just replaced by one merged segment whose node ids and classes
+    /// are all new, so every index drops its postings from `from` on and
+    /// builds that segment's. Postings of `segments[..from]` are kept as
+    /// they are: their documents keep their global ordinals.
+    pub(crate) fn rebuild_from(
+        &mut self,
+        from: usize,
+        segments: &[Arc<JsonTree>],
+        doc_refs: &[DocRef],
+    ) {
         for pi in &mut self.paths {
-            pi.segs = (0..segments.len())
-                .map(|s| {
-                    Arc::new(build_posting(
-                        &pi.path,
-                        &segments[s],
-                        &canons[s],
-                        &per_seg[s],
-                    ))
-                })
-                .collect();
+            pi.segs.truncate(from);
+            pi.segs
+                .extend(build_postings(&pi.path, from, segments, doc_refs));
         }
     }
 
@@ -312,10 +297,10 @@ impl IndexSet {
         for (seg, posting) in index.segs.iter().enumerate() {
             let tree = &segments[seg];
             match probe {
-                Probe::Eq(v) => eq_hits(posting, &self.canons[seg], tree, v, out),
+                Probe::Eq(v) => eq_hits(posting, tree, v, out),
                 Probe::In(items) => {
                     for v in items.iter() {
-                        eq_hits(posting, &self.canons[seg], tree, v, out);
+                        eq_hits(posting, tree, v, out);
                     }
                 }
                 Probe::Range(cmp, v) => range_hits(posting, tree, *cmp, v, out),
@@ -381,10 +366,10 @@ impl IndexSet {
 
 /// `$eq` hits of one posting: classes the external constant into the
 /// segment's canon table and reads the posting list. An un-interned
-/// constant ([`CanonTable::class_of_json`] → `None`) is an absence proof —
-/// nothing to insert.
-fn eq_hits(posting: &SegPosting, canon: &CanonTable, tree: &JsonTree, v: &Json, out: &mut BitSet) {
-    if let Some(class) = canon.class_of_json(tree, v) {
+/// constant ([`class_of_json`](jsondata::CanonTable::class_of_json) →
+/// `None`) is an absence proof — nothing to insert.
+fn eq_hits(posting: &SegPosting, tree: &JsonTree, v: &Json, out: &mut BitSet) {
+    if let Some(class) = tree.canon().class_of_json(tree, v) {
         if let Some(ords) = posting.eq.get(&class) {
             for &o in ords {
                 out.insert(o as usize);
