@@ -1700,10 +1700,6 @@ fn s7() {
             };
             pairs.push((b, c));
         }
-        fn median(mut xs: Vec<f64>) -> f64 {
-            xs.sort_by(f64::total_cmp);
-            xs[xs.len() / 2]
-        }
         let base_ms = median(pairs.iter().map(|&(b, _)| b).collect());
         let delta_ms = median(pairs.iter().map(|&(b, c)| c - b).collect());
         let min_delta_ms = pairs
@@ -2326,10 +2322,6 @@ fn s10() {
             };
             pairs.push((b, c));
         }
-        fn median(mut xs: Vec<f64>) -> f64 {
-            xs.sort_by(f64::total_cmp);
-            xs[xs.len() / 2]
-        }
         let base_ms = median(pairs.iter().map(|&(b, _)| b).collect());
         let delta_ms = median(pairs.iter().map(|&(b, c)| c - b).collect());
         let min_delta_ms = pairs
@@ -2451,6 +2443,11 @@ fn s10() {
 ///    under `Dispatch::Park` (persistent parked helpers) must not be
 ///    slower than `Dispatch::Spawn` (per-scope thread spawn), best of
 ///    61 interleaved samples, small noise tolerance.
+/// 4. **A write costs O(document).** `Store::insert_str` on the S5
+///    collection with the S9 indexes, fragmented to 10 000 segments, is
+///    within [`S11_WRITE_FLATNESS`] of the same insert at 100 segments
+///    (medians of [`S11_WRITE_SAMPLES`] interleaved samples). The ratio of
+///    3 indexes to none at 100 segments is recorded as data.
 fn s11() {
     use std::time::Duration;
 
@@ -2695,9 +2692,18 @@ fn s11() {
         spawn_ms / park_ms
     );
 
+    // --- gate 4: per-insert cost is flat in segment count --------------
+    let write = s11_write_gate(&text);
+
     let report = Val::obj(vec![
         ("experiment", Val::str("s11_serving")),
-        ("units", Val::str("ms (best of 61 interleaved samples)")),
+        (
+            "units",
+            Val::str(
+                "ms (best of 61 interleaved samples); insert_us: us (median of the \
+                 interleaved samples)",
+            ),
+        ),
         (
             "gates",
             Val::str(
@@ -2705,7 +2711,8 @@ fn s11() {
                  snapshot's committed log prefix (storms + compactions racing); fault storm \
                  of injected panics/sleeps yields typed errors only with zero aborts and \
                  zero leaked permits, server serviceable after; persistent park-dispatch \
-                 pool <= per-scope spawn on the S6 find workload",
+                 pool <= per-scope spawn on the S6 find workload; per-insert us at 10 000 \
+                 segments within 1.2x of 100 segments (write_gates)",
             ),
         ),
         ("threads", Val::int(max_threads as u64)),
@@ -2739,6 +2746,133 @@ fn s11() {
                 ("speedup", Val::float(spawn_ms / park_ms, 2)),
             ]),
         ),
+        ("write_gates", Val::Arr(vec![write.gate()])),
+        ("insert_us", write.data()),
     ]);
     jsonout::write("BENCH_serving.json", &report);
+}
+
+/// Bound of the s11 write gate: per-insert time at 10 000 segments over
+/// the time at 100 segments.
+const S11_WRITE_FLATNESS: f64 = 1.2;
+
+/// Samples per configuration of the s11 write gate.
+const S11_WRITE_SAMPLES: usize = 600;
+
+/// Medians of the s11 write measurement, µs per `Store::insert_str`.
+struct WriteCost {
+    segs_100: f64,
+    segs_10k: f64,
+    segs_100_no_index: f64,
+}
+
+impl WriteCost {
+    fn ratio(&self) -> f64 {
+        self.segs_10k / self.segs_100
+    }
+
+    fn gate(&self) -> Val {
+        let observed = self.ratio();
+        Val::obj(vec![
+            ("name", Val::str("insert_us_10000_vs_100_segments")),
+            ("bound", Val::float(S11_WRITE_FLATNESS, 2)),
+            ("observed", Val::float(observed, 3)),
+            ("pass", Val::Bool(observed <= S11_WRITE_FLATNESS)),
+        ])
+    }
+
+    fn data(&self) -> Val {
+        Val::obj(vec![
+            ("samples", Val::int(S11_WRITE_SAMPLES as u64)),
+            ("segments_100", Val::float(self.segs_100, 3)),
+            ("segments_10000", Val::float(self.segs_10k, 3)),
+            (
+                "segments_100_no_index",
+                Val::float(self.segs_100_no_index, 3),
+            ),
+            (
+                "index_ratio_3_vs_0",
+                Val::float(self.segs_100 / self.segs_100_no_index, 3),
+            ),
+        ])
+    }
+}
+
+/// S11 gate 4: times `Store::insert_str` on three layouts of the S5
+/// collection — 100 and 10 000 segments with the S9 indexes, 100 segments
+/// with none. Each layout is kept at every fill of its last, unsealed
+/// chunk of segment records ([`mongofind::SEGMENT_CHUNK`] successive
+/// snapshots), and sample `i` starts from fill `i mod SEGMENT_CHUNK`, so
+/// the samples cover a whole chunk cycle — the record copies of a short
+/// and a long tail and the insert that seals it — at either segment
+/// count. Each sample wraps a clone of its snapshot in a fresh store and
+/// times one insert, including the publication and the drop of the
+/// replaced snapshot. The layouts take turns in a rotating order so host
+/// drift lands on all three alike.
+fn s11_write_gate(text: &str) -> WriteCost {
+    use jserve::Store;
+    use jsondata::ParseLimits;
+
+    fn storm_doc(i: usize) -> String {
+        format!(
+            r#"{{"id": {}, "name": {{"first": "W{}", "last": "Storm"}}, "age": {}}}"#,
+            200_000 + i,
+            i % 4,
+            i % 90
+        )
+    }
+    let layout = |indexes: &[&str], segments: usize| {
+        let mut fills = Vec::new();
+        let mut coll = mongofind::Collection::parse_str(text).expect("workload parses");
+        for p in indexes {
+            assert!(coll.create_index(p));
+        }
+        for i in 1..segments + mongofind::SEGMENT_CHUNK {
+            if i >= segments {
+                fills.push(coll.clone());
+            }
+            coll.insert_str(&storm_doc(i))
+                .expect("storm document parses");
+        }
+        assert_eq!(fills[0].segments().len(), segments);
+        fills
+    };
+    let layouts = [
+        layout(&S9_INDEX_PATHS, 100),
+        layout(&S9_INDEX_PATHS, 10_000),
+        layout(&[], 100),
+    ];
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for i in 0..S11_WRITE_SAMPLES {
+        for k in 0..layouts.len() {
+            let which = (i + k) % layouts.len();
+            let fills = &layouts[which];
+            let store = Store::new(fills[i % fills.len()].clone());
+            let doc = storm_doc(i);
+            let t0 = std::time::Instant::now();
+            store
+                .insert_str(&doc, ParseLimits::default())
+                .expect("storm document inserts");
+            samples[which].push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let [segs_100, segs_10k, segs_100_no_index] = samples.map(median);
+    let cost = WriteCost {
+        segs_100,
+        segs_10k,
+        segs_100_no_index,
+    };
+    println!(
+        "write cost: insert {segs_100:.2} us at 100 segments, {segs_10k:.2} us at 10 000 \
+         ({:.3}x, bound {S11_WRITE_FLATNESS}x), {segs_100_no_index:.2} us at 100 segments \
+         without indexes (3 indexes {:.2}x); medians of {S11_WRITE_SAMPLES} interleaved samples",
+        cost.ratio(),
+        segs_100 / segs_100_no_index
+    );
+    assert!(
+        cost.ratio() <= S11_WRITE_FLATNESS,
+        "S11 gate: per-insert cost at 10 000 segments ({segs_10k:.2} us) exceeds \
+         {S11_WRITE_FLATNESS}x the cost at 100 segments ({segs_100:.2} us)"
+    );
+    cost
 }

@@ -13,6 +13,13 @@ use jnl::ast::{Binary, Unary};
 use jsl::ast::{Jsl, NodeTest};
 use jsondata::{gen, Json};
 
+/// The median of `xs` (the upper one of an even count). Panics on an
+/// empty sample.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Times one closure in milliseconds (median of `reps` runs).
 pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut samples = Vec::with_capacity(reps);
@@ -21,8 +28,7 @@ pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         std::hint::black_box(f());
         samples.push(t0.elapsed().as_secs_f64() * 1e3);
     }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(samples)
 }
 
 /// Least-squares slope of `log(y)` against `log(x)` — the empirical

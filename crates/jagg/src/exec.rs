@@ -201,6 +201,9 @@ enum Resolved<'a> {
 
 struct Engine<'c> {
     coll: &'c Collection,
+    /// The collection's segment trees by position, gathered once per
+    /// query so a row's cursor resolves its tree with one slice index.
+    trees: Vec<&'c JsonTree>,
     pool: Pool,
     /// The query's governance context ([`QueryCtx::unlimited`] on the
     /// legacy path — every poll and charge is then a no-op branch).
@@ -211,13 +214,14 @@ impl<'c> Engine<'c> {
     fn with_ctx(coll: &'c Collection, guard: QueryCtx) -> Engine<'c> {
         Engine {
             coll,
+            trees: coll.segments().trees(),
             pool: *coll.pool(),
             guard,
         }
     }
 
     fn tree(&self, seg: u32) -> &'c JsonTree {
-        &self.coll.segments()[seg as usize]
+        self.trees[seg as usize]
     }
 
     fn json_of(&self, d: DocRef) -> Json {
@@ -241,7 +245,7 @@ impl<'c> Engine<'c> {
     /// `$match` over a fragmented collection leaves most of them empty)
     /// are never built.
     fn build_canon_for(&self, rows: &[Row]) -> Result<(), QueryError> {
-        let segments = self.coll.segments();
+        let segments = &self.trees;
         let mut needed = vec![false; segments.len()];
         for row in rows {
             if let Base::Node(d) = &row.base {
@@ -311,13 +315,7 @@ impl<'c> Engine<'c> {
                 &stages[1..]
             }
             _ => {
-                rows = self
-                    .coll
-                    .doc_refs()
-                    .iter()
-                    .copied()
-                    .map(Row::node)
-                    .collect();
+                rows = self.coll.doc_refs().map(Row::node).collect();
                 stages
             }
         };

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use jguard::{Fault, QueryCtx, QueryError};
 use jsondata::{Json, ParseLimits};
-use jtrace::QueryMetrics;
+use jtrace::{QueryMetrics, SpanKind};
 use mongofind::{Collection, Filter, Projection};
 
 use crate::admission::{Admission, AdmissionConfig};
@@ -269,8 +269,12 @@ impl Server {
         req: &Request,
     ) -> Result<Response, QueryError> {
         if let Request::Insert { doc } = req {
-            let epoch = self.store.insert_str(doc, tenant.spec.parse_limits)?;
-            return Ok(Response::Inserted { epoch });
+            // The ingestion span covers the whole store insert (parse,
+            // index postings, publication) and closes on rejection too.
+            ctx.span_open(SpanKind::Parse, 0);
+            let inserted = self.store.insert_str(doc, tenant.spec.parse_limits);
+            ctx.span_close(SpanKind::Parse, 0);
+            return Ok(Response::Inserted { epoch: inserted? });
         }
         let snap: Arc<Snapshot> = self.store.snapshot();
         let coll = snap.collection();
@@ -497,5 +501,36 @@ mod tests {
             .serve_with_fault("slow", &req, Fault::SleepAtPoll { at: 1, millis: 200 })
             .unwrap_err();
         assert_eq!(err, QueryError::Deadline);
+    }
+
+    #[test]
+    fn served_inserts_record_one_parse_span_each() {
+        use jtrace::SpanPhase;
+        let s = Server::new(seed(), AdmissionConfig::default());
+        let mut spec = TenantSpec::new("w");
+        spec.parse_limits = ParseLimits::depth(3);
+        assert!(s.register_tenant(spec));
+        let docs = [
+            r#"{"id": 4, "age": 50}"#,
+            r#"{"id": 5, "deep": [[[[1]]]]}"#,
+            r#"{"id": 6, "age": 51}"#,
+            r#"{"id": 7, "bad" 1}"#,
+        ];
+        let mut rejected = 0;
+        for doc in docs {
+            let insert = Request::Insert { doc: doc.into() };
+            rejected += usize::from(s.serve("w", &insert).is_err());
+        }
+        assert_eq!((rejected, s.store().log_len()), (2, 2));
+        let m = s.tenant_metrics("w").unwrap();
+        let events = m.spans().expect("tenant sink records spans").events();
+        assert_eq!(events.len(), 2 * docs.len(), "{events:?}");
+        for pair in events.chunks(2) {
+            assert!(pair.iter().all(|e| e.kind == SpanKind::Parse), "{pair:?}");
+            assert_eq!(
+                (pair[0].phase, pair[1].phase),
+                (SpanPhase::Open, SpanPhase::Close)
+            );
+        }
     }
 }

@@ -4,20 +4,23 @@
 //! call [`Store::snapshot`] and get an immutable [`Snapshot`] — an
 //! `Arc`-shared view of the collection (segment trees, interner view,
 //! index set) that stays valid for as long as they hold it, no matter
-//! what the writer does meanwhile. The segmented column keeps this
-//! cheap but not free: a collection clone shares every segment tree and
-//! index posting by `Arc`, and copies the doc-ref vector (8 bytes per
-//! document) and the interner table, so it costs `O(documents + symbols +
-//! segments × (indexes + 1))` — tens of microseconds at 20k documents,
-//! never a copy of document data.
+//! what the writer does meanwhile. Every piece of collection state is
+//! shared by `Arc`: a collection clone shares the sealed chunks of segment
+//! records in one reference bump, copies the short tail of records (at
+//! most [`mongofind::SEGMENT_CHUNK`]` - 1`, two bumps each) and bumps the
+//! symbol table, index declarations and schema once each. It costs
+//! `O(SEGMENT_CHUNK)` whatever the document, symbol, segment or index
+//! count — about a microsecond — and never copies document data.
 //!
 //! ## Write protocol
 //!
 //! A single writer lock serializes mutation. [`Store::insert_str`]
 //! clones the current snapshot's collection, appends the new
 //! document as an insert-segment through the shared interner lineage
-//! (indexes maintained incrementally), appends the document text to the
-//! **commit log**, and publishes the new snapshot atomically. Readers
+//! (its index postings built into its segment record; the symbol table
+//! copied only when the document brings a string it lacks), appends the
+//! document text to the **commit log**, and publishes the new snapshot
+//! atomically. Readers
 //! holding the old snapshot are untouched; the next
 //! [`Store::snapshot`] call sees the new epoch.
 //!
@@ -43,7 +46,8 @@
 //! The merge runs **off** the writer lock (readers and the writer keep
 //! going); then the store briefly takes the lock to catch up: segments
 //! committed while the merge ran are adopted by reference
-//! ([`Collection::adopt_segment`] — no re-parse, no copy), and the
+//! ([`Collection::adopt_segment`] — no re-parse, no copy of the tree or
+//! the symbol table), and the
 //! compacted snapshot is published with the same epoch and a bumped
 //! **layout** generation. Two racing compactions are resolved by the
 //! layout check: the loser discards its stale merge and reports `false`.
@@ -169,7 +173,7 @@ impl Store {
         if cur.layout != base.layout {
             return false;
         }
-        for seg in &cur.coll.segments()[base.coll.segments().len()..] {
+        for seg in cur.coll.segments().iter_from(base.coll.segments().len()) {
             coll.adopt_segment(seg);
         }
         self.publish(Snapshot {
@@ -203,14 +207,14 @@ impl Store {
 /// documents appended since that segment was written: an insert-heavy
 /// store pays `O(log documents)` rewrites per document instead of one
 /// full-collection merge per compaction.
+///
+/// One backward walk over the segment records: `O(segments)`.
 pub fn merge_point(coll: &Collection) -> usize {
-    let mut docs = vec![0usize; coll.segments().len()];
-    for d in coll.doc_refs() {
-        docs[d.seg as usize] += 1;
-    }
+    let segments = coll.segments();
     let mut later = 0;
-    let mut k = docs.len();
-    for (i, &n) in docs.iter().enumerate().rev() {
+    let mut k = segments.len();
+    for (i, seg) in (0..segments.len()).rev().zip(segments.iter().rev()) {
+        let n = seg.len();
         if n <= 2 * later {
             k = i;
         }
@@ -256,6 +260,22 @@ mod tests {
         let after = store.snapshot();
         assert!(Arc::ptr_eq(&before, &after), "no publication on rejection");
         assert_eq!(store.log_len(), 0);
+    }
+
+    #[test]
+    fn snapshots_share_the_schema() {
+        let schema = jsl::RecursiveJsl::plain(jsl::ast::Jsl::True);
+        let store = Store::new(seed().with_schema(schema).unwrap());
+        let before = store.snapshot();
+        store
+            .insert_str(r#"{"id": 3, "age": 50}"#, ParseLimits::default())
+            .unwrap();
+        let after = store.snapshot();
+        let (a, b) = (before.collection().schema(), after.collection().schema());
+        assert!(
+            std::ptr::eq(a.unwrap(), b.unwrap()),
+            "schema shared, not copied"
+        );
     }
 
     #[test]

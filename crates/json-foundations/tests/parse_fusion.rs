@@ -5,6 +5,8 @@
 //! every malformed input. Both paths reduce to the same `TreeBuilder`
 //! event core; this suite pins that equivalence from the outside.
 
+use std::sync::Arc;
+
 use jsondata::serialize::{to_string, to_string_pretty};
 use jsondata::{
     gen, parse, parse_to_tree, parse_to_tree_into, parse_to_tree_with_limits, parse_with_limits,
@@ -267,7 +269,7 @@ fn shared_interner_symbols_are_stable_across_documents() {
         let doc_b = gen::random_json(&gen::GenConfig::sized(seed + 1000, 60));
         let (src_a, src_b) = (to_string(&doc_a), to_string(&doc_b));
 
-        let mut shared = Interner::new();
+        let mut shared = Arc::new(Interner::new());
         let t_a = parse_to_tree_into(&src_a, limits, &mut shared).unwrap();
         let t_b = parse_to_tree_into(&src_b, limits, &mut shared).unwrap();
 
@@ -282,7 +284,7 @@ fn shared_interner_symbols_are_stable_across_documents() {
         // The shared-interner tree is *not* identical to a fresh-interner
         // parse in general, but denotes the same value and matches the
         // two-pass shared-interner construction.
-        let mut shared2 = Interner::new();
+        let mut shared2 = Arc::new(Interner::new());
         let two_a = JsonTree::build_into(&parse(&src_a).unwrap(), &mut shared2);
         let two_b = JsonTree::build_into(&parse(&src_b).unwrap(), &mut shared2);
         assert!(t_a.identical(&two_a), "seed {seed}: shared doc A");
@@ -295,10 +297,10 @@ fn shared_interner_symbols_are_stable_across_documents() {
 #[test]
 fn shared_interner_survives_parse_errors() {
     let limits = ParseLimits::default();
-    let mut shared = Interner::new();
+    let mut shared = Arc::new(Interner::new());
     let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &mut shared).unwrap();
-    // A malformed document must not lose the shared table (it may add
-    // symbols from the well-formed prefix).
+    // A malformed document must not lose the shared table (nor add the
+    // symbols of its well-formed prefix to it).
     let before = shared.lookup("k");
     assert!(parse_to_tree_into(r#"{"new": "w", "bad" 1}"#, limits, &mut shared).is_err());
     assert_eq!(

@@ -21,9 +21,9 @@
 //! [`parse_to_tree_into`] additionally threads a caller-owned [`Interner`]
 //! through the parse, so a batch of documents loaded through one interner
 //! assigns the same [`Sym`](crate::Sym) to the same string across all of
-//! their trees (each tree carries a snapshot clone of the shared table; on a
-//! parse error the shared table is preserved, though it may retain symbols
-//! interned from the failed prefix).
+//! their trees (the table is shared by [`Arc`] and copied only when a
+//! document brings a string it lacks; on a parse error the caller's table
+//! is left exactly as it was).
 //!
 //! ## Shape
 //!
@@ -40,6 +40,7 @@
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::fxhash::{FxHashSet, FxHasher};
@@ -114,7 +115,7 @@ pub fn parse_to_tree(input: &str) -> Result<JsonTree, ParseError> {
 /// semantics match [`parse_with_limits`] exactly (same error kind at the
 /// same position on every malformed input).
 pub fn parse_to_tree_with_limits(input: &str, limits: ParseLimits) -> Result<JsonTree, ParseError> {
-    let mut builder = TreeBuilder::new(Interner::new());
+    let mut builder = TreeBuilder::new();
     parse_document(input, limits, &mut builder)?;
     Ok(builder.finish())
 }
@@ -122,27 +123,21 @@ pub fn parse_to_tree_with_limits(input: &str, limits: ParseLimits) -> Result<Jso
 /// [`parse_to_tree_with_limits`] interning into a caller-owned shared table
 /// — the batch-loading form: every document parsed through one `interner`
 /// assigns the same [`Sym`](crate::Sym) to the same string, so symbols are
-/// comparable across the resulting trees. Each returned tree carries a
-/// snapshot clone of the shared table (cost `O(symbols interned so far)`);
-/// on error the shared table is left usable (it may retain symbols from the
-/// document's well-formed prefix).
+/// comparable across the resulting trees. The table is copied on write:
+/// a document whose strings are all interned already yields a tree sharing
+/// `interner` itself (one [`Arc`] bump); the first new string takes one
+/// private copy (`O(symbols)`), and on success `interner` is replaced by
+/// the extended table. On error `interner` is left exactly as it was.
 pub fn parse_to_tree_into(
     input: &str,
     limits: ParseLimits,
-    interner: &mut Interner,
+    interner: &mut Arc<Interner>,
 ) -> Result<JsonTree, ParseError> {
-    let mut builder = TreeBuilder::new(std::mem::take(interner));
-    match parse_document(input, limits, &mut builder) {
-        Ok(()) => {
-            let tree = builder.finish();
-            *interner = tree.interner().clone();
-            Ok(tree)
-        }
-        Err(e) => {
-            *interner = builder.into_interner();
-            Err(e)
-        }
-    }
+    let mut builder = TreeBuilder::shared(interner);
+    parse_document(input, limits, &mut builder)?;
+    let tree = builder.finish();
+    *interner = Arc::clone(tree.shared_interner());
+    Ok(tree)
 }
 
 /// Receiver of the document-order parse event stream. Exactly one value is
@@ -907,7 +902,7 @@ mod tests {
 
     #[test]
     fn shared_interner_keeps_symbols_stable() {
-        let mut shared = Interner::new();
+        let mut shared = Arc::new(Interner::new());
         let limits = ParseLimits::default();
         let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &mut shared).unwrap();
         let t2 = parse_to_tree_into(r#"{"v": "k", "w": 1}"#, limits, &mut shared).unwrap();
@@ -915,5 +910,28 @@ mod tests {
         assert_eq!(t1.sym("v"), t2.sym("v"));
         assert_eq!(t1.sym("w"), None, "t1 snapshot predates \"w\"");
         assert_eq!(shared.lookup("w"), t2.sym("w"));
+    }
+
+    #[test]
+    fn shared_interner_is_copied_only_on_a_new_string() {
+        let limits = ParseLimits::default();
+        let mut shared = Arc::new(Interner::new());
+        let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &mut shared).unwrap();
+        assert!(Arc::ptr_eq(t1.shared_interner(), &shared));
+        // Every string already interned: the tree shares the table itself.
+        let before = Arc::clone(&shared);
+        let t2 = parse_to_tree_into(r#"{"v": "k"}"#, limits, &mut shared).unwrap();
+        assert!(Arc::ptr_eq(&before, &shared));
+        assert!(Arc::ptr_eq(t2.shared_interner(), &shared));
+        // A new string copies once; the earlier tree keeps its table.
+        let t3 = parse_to_tree_into(r#"{"k": "w"}"#, limits, &mut shared).unwrap();
+        assert!(!Arc::ptr_eq(&before, &shared));
+        assert!(Arc::ptr_eq(t3.shared_interner(), &shared));
+        assert_eq!((t1.interner().len(), shared.len()), (2, 3));
+        // A rejected document leaves the caller's table untouched.
+        let before = Arc::clone(&shared);
+        assert!(parse_to_tree_into(r#"{"new": "x", "bad" 1}"#, limits, &mut shared).is_err());
+        assert!(Arc::ptr_eq(&before, &shared));
+        assert_eq!(shared.lookup("new"), None);
     }
 }

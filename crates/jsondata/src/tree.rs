@@ -14,6 +14,9 @@
 //! * All strings — object keys **and** string leaves — are interned into a
 //!   per-tree [`Interner`]; nodes store [`Sym`]s, never owned strings. Edge
 //!   tests on the logic engines' hot paths are therefore `u32` compares.
+//!   The table sits behind an [`Arc`]: trees built through one shared
+//!   table (`build_into`, `parse_to_tree_into`) hold that very table until
+//!   a document brings a string it lacks, and only then copy it.
 //! * Storage is CSR-style: one flattened `children` array (with a parallel
 //!   `keys` array of symbols) addressed by per-node offset spans, instead of
 //!   one heap allocation per node. Object children are stored **sorted by
@@ -30,7 +33,7 @@
 //!   (`&JsonTree`, `Arc<JsonTree>`).
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::canon::CanonTable;
 use crate::fxhash::FxHashSet;
@@ -42,6 +45,9 @@ use crate::value::Json;
 pub struct NodeId(u32);
 
 impl NodeId {
+    /// The root of every tree (id 0: ids are pre-order).
+    pub const ROOT: NodeId = NodeId(0);
+
     /// The arena index of this node.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -125,8 +131,9 @@ pub struct JsonTree {
     height: Vec<u32>,
     /// `size[i]`: number of nodes in the subtree rooted at node `i`.
     size: Vec<u32>,
-    /// The per-tree symbol table for keys and string atoms.
-    interner: Interner,
+    /// The symbol table for keys and string atoms; shared with the other
+    /// trees built through the same table when they interned nothing new.
+    interner: Arc<Interner>,
     /// The canonical-label table, built on first [`JsonTree::canon`].
     canon: OnceLock<CanonTable>,
 }
@@ -158,7 +165,7 @@ pub struct JsonTree {
 /// [`JsonTree::identical`] trees by construction; the differential test
 /// suite (`tests/parse_fusion.rs`) pins that equivalence.
 pub(crate) struct TreeBuilder {
-    interner: Interner,
+    interner: Table,
     kinds: Vec<NodeKind>,
     parents: Vec<u32>,
     payload: Vec<u64>,
@@ -181,6 +188,46 @@ pub(crate) struct TreeBuilder {
     pending_key: Sym,
 }
 
+/// The builder's symbol table, copied on write: a builder started from a
+/// shared table only reads it until a string misses, and the first miss
+/// takes a private copy that every later intern writes in place. A document whose strings are all interned already
+/// finishes holding the very table it started from.
+enum Table {
+    Shared(Arc<Interner>),
+    Owned(Interner),
+}
+
+impl Table {
+    fn get(&self) -> &Interner {
+        match self {
+            Table::Shared(t) => t,
+            Table::Owned(t) => t,
+        }
+    }
+
+    fn intern(&mut self, s: &str) -> Sym {
+        match self {
+            Table::Owned(t) => t.intern(s),
+            Table::Shared(t) => match t.lookup(s) {
+                Some(sym) => sym,
+                None => {
+                    let mut own = Interner::clone(t);
+                    let sym = own.intern(s);
+                    *self = Table::Owned(own);
+                    sym
+                }
+            },
+        }
+    }
+
+    fn into_shared(self) -> Arc<Interner> {
+        match self {
+            Table::Shared(t) => t,
+            Table::Owned(t) => Arc::new(t),
+        }
+    }
+}
+
 struct OpenFrame {
     id: u32,
     scratch_start: u32,
@@ -188,9 +235,18 @@ struct OpenFrame {
 }
 
 impl TreeBuilder {
-    /// A builder interning into `interner` (possibly pre-populated, for
-    /// shared-interner batch loading).
-    pub(crate) fn new(interner: Interner) -> TreeBuilder {
+    /// A builder interning into a fresh table of its own.
+    pub(crate) fn new() -> TreeBuilder {
+        TreeBuilder::with_table(Table::Owned(Interner::new()))
+    }
+
+    /// A builder reading `interner` (shared-interner batch loading), which
+    /// it copies only on the first string the table lacks.
+    pub(crate) fn shared(interner: &Arc<Interner>) -> TreeBuilder {
+        TreeBuilder::with_table(Table::Shared(Arc::clone(interner)))
+    }
+
+    fn with_table(interner: Table) -> TreeBuilder {
         TreeBuilder {
             interner,
             kinds: Vec::new(),
@@ -242,14 +298,14 @@ impl TreeBuilder {
     /// [`JsonTree::concat_subtrees`] uses this to skip re-hashing strings
     /// that are already interned.
     fn str_atom_sym(&mut self, sym: Sym) {
-        debug_assert!(sym.index() < self.interner.len(), "foreign symbol");
+        debug_assert!(sym.index() < self.interner.get().len(), "foreign symbol");
         self.new_node(NodeKind::Str, sym.index() as u64);
     }
 
     /// [`TreeBuilder::object_key`] by pre-resolved symbol (same validity
     /// contract as [`TreeBuilder::str_atom_sym`]).
     fn object_key_sym(&mut self, sym: Sym) -> bool {
-        debug_assert!(sym.index() < self.interner.len(), "foreign symbol");
+        debug_assert!(sym.index() < self.interner.get().len(), "foreign symbol");
         let top = self.open.last().expect("object_key outside an object");
         debug_assert!(top.is_obj, "object_key inside an array");
         if !self.seen_keys.insert((top.id, sym)) {
@@ -321,12 +377,6 @@ impl TreeBuilder {
         self.scratch.truncate(start);
     }
 
-    /// Recovers the interner from an abandoned builder (the shared-interner
-    /// entry point restores its caller's table on parse errors).
-    pub(crate) fn into_interner(self) -> Interner {
-        self.interner
-    }
-
     /// Flattens into the final CSR arrays and computes the height/size
     /// measures (one descending pass: children before parents).
     pub(crate) fn finish(self) -> JsonTree {
@@ -372,7 +422,7 @@ impl TreeBuilder {
             payload: self.payload,
             height,
             size,
-            interner: self.interner,
+            interner: self.interner.into_shared(),
             canon: OnceLock::new(),
         }
     }
@@ -387,7 +437,7 @@ impl JsonTree {
     /// `JsonTree::build(&parse(s)?)` and `parse_to_tree(s)` produce
     /// [`JsonTree::identical`] trees.
     pub fn build(doc: &Json) -> JsonTree {
-        let mut b = TreeBuilder::new(Interner::new());
+        let mut b = TreeBuilder::new();
         Self::feed(&mut b, doc);
         b.finish()
     }
@@ -395,14 +445,16 @@ impl JsonTree {
     /// [`JsonTree::build`] interning into a caller-owned table — the batch
     /// loading form: documents built through one interner assign the same
     /// [`Sym`] to the same string, so symbols are comparable across their
-    /// trees. The returned tree carries a snapshot clone of the interner
-    /// (cost `O(symbols)`); `interner` keeps accumulating for the next
-    /// document.
-    pub fn build_into(doc: &Json, interner: &mut Interner) -> JsonTree {
-        let mut b = TreeBuilder::new(std::mem::take(interner));
+    /// trees. The table is copied on write: when every string of `doc` is
+    /// interned already, the tree shares `interner` itself (one [`Arc`]
+    /// bump); otherwise it takes one private copy (`O(symbols)`) at the
+    /// first new string and `interner` is replaced by the extended table,
+    /// which accumulates for the next document.
+    pub fn build_into(doc: &Json, interner: &mut Arc<Interner>) -> JsonTree {
+        let mut b = TreeBuilder::shared(interner);
         Self::feed(&mut b, doc);
         let tree = b.finish();
-        *interner = tree.interner.clone();
+        *interner = Arc::clone(&tree.interner);
         tree
     }
 
@@ -466,23 +518,21 @@ impl JsonTree {
     /// through (each part's own interner is a prefix snapshot of it), so
     /// every [`Sym`] in a part resolves to the same string in `interner`
     /// and the replay copies symbols **without re-hashing a single
-    /// string**. The builder consumes the table and hands it back extended
-    /// (unchanged, in fact: replay interns nothing new).
+    /// string**. Replay interns nothing new, so the merged tree shares
+    /// `interner` itself.
     ///
     /// Replay emits each object's members in the stored symbol-sorted
     /// order, so node ids within the result are pre-order over that
     /// layout; `json_at` values are exactly the part values (object
     /// equality is unordered).
-    pub fn concat_subtrees(parts: &[(&JsonTree, NodeId)], interner: &mut Interner) -> JsonTree {
-        let mut b = TreeBuilder::new(std::mem::take(interner));
+    pub fn concat_subtrees(parts: &[(&JsonTree, NodeId)], interner: &Arc<Interner>) -> JsonTree {
+        let mut b = TreeBuilder::shared(interner);
         b.begin_array();
         for &(tree, node) in parts {
             tree.replay_into(node, &mut b);
         }
         b.end_array();
-        let merged = b.finish();
-        *interner = merged.interner.clone();
-        merged
+        b.finish()
     }
 
     /// Replays the subtree at `n` into `b` as a document-order event
@@ -565,6 +615,12 @@ impl JsonTree {
 
     /// The tree's symbol table (object keys and string atoms).
     pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
+    /// The tree's symbol table as the shared handle: trees built through
+    /// one table that interned nothing new are [`Arc::ptr_eq`] on it.
+    pub fn shared_interner(&self) -> &Arc<Interner> {
         &self.interner
     }
 
@@ -1168,7 +1224,7 @@ mod tests {
     fn concat_subtrees_merges_shared_interner_parts() {
         // Three "segments" built through one shared interner, then merged:
         // values round-trip, symbols stay shared, nothing new is interned.
-        let mut shared = crate::intern::Interner::new();
+        let mut shared = Arc::new(crate::intern::Interner::new());
         let docs = [
             parse(r#"{"name": {"first": "Sue"}, "age": 28}"#).unwrap(),
             parse(r#"{"name": {"first": "John"}, "tags": ["a", "Sue"]}"#).unwrap(),
@@ -1180,7 +1236,7 @@ mod tests {
             .collect();
         let before = shared.len();
         let parts: Vec<(&JsonTree, NodeId)> = segs.iter().map(|t| (t, t.root())).collect();
-        let merged = JsonTree::concat_subtrees(&parts, &mut shared);
+        let merged = JsonTree::concat_subtrees(&parts, &shared);
         assert_eq!(shared.len(), before, "replay interns nothing new");
         assert_eq!(merged.kind(merged.root()), NodeKind::Arr);
         assert_eq!(merged.child_count(merged.root()), 3);
@@ -1204,20 +1260,20 @@ mod tests {
 
     #[test]
     fn concat_subtrees_of_nothing_is_an_empty_array() {
-        let mut shared = crate::intern::Interner::new();
-        let merged = JsonTree::concat_subtrees(&[], &mut shared);
+        let shared = Arc::new(crate::intern::Interner::new());
+        let merged = JsonTree::concat_subtrees(&[], &shared);
         assert_eq!(merged.to_json(), Json::array([]));
     }
 
     #[test]
     fn concat_subtrees_can_lift_inner_nodes() {
         // Parts need not be roots: any node of a shared-interner tree works.
-        let mut shared = crate::intern::Interner::new();
+        let mut shared = Arc::new(crate::intern::Interner::new());
         let doc = parse(r#"{"a": {"x": 1}, "b": [7, 2]}"#).unwrap();
         let t = JsonTree::build_into(&doc, &mut shared);
         let a = t.child_by_key(t.root(), "a").unwrap();
         let b = t.child_by_key(t.root(), "b").unwrap();
-        let merged = JsonTree::concat_subtrees(&[(&t, b), (&t, a)], &mut shared);
+        let merged = JsonTree::concat_subtrees(&[(&t, b), (&t, a)], &shared);
         assert_eq!(merged.to_json(), parse(r#"[[7, 2], {"x": 1}]"#).unwrap());
     }
 

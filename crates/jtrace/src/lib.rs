@@ -350,7 +350,8 @@ impl std::ops::Index<Counter> for Snapshot {
 /// Span scope vocabulary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Document ingestion (text → tree).
+    /// Document ingestion (text → tree): a served insert records one
+    /// around its store insert, rejected inserts included.
     Parse = 0,
     /// Query planning (route selection, probe planning).
     Plan,

@@ -20,13 +20,17 @@
 //!   prefix/suffix. The column is also the substrate a future `$sort`
 //!   pushdown reads runs from.
 //!
-//! Both are **per-segment**: [`Collection::insert`] appends a single-doc
-//! segment and [`IndexSet::add_segment`] extends every index incrementally
-//! without touching existing postings. [`Collection::merge_from`] replaces
-//! the suffix `segments[k..]` by one merged segment: only that segment's
-//! postings are rebuilt ([`IndexSet::rebuild_from`]). Global ordinals of
-//! documents before the merge point do not move, so the postings of
-//! `segments[..k]` stay valid and stay shared by [`Arc`].
+//! Both are **per-segment**, and they live in the segment records of the
+//! column ([`Segment`]), one posting per declared index: an appended
+//! segment — a [`Collection::insert`] or a merged suffix — gets its
+//! postings built once ([`IndexSet::postings_for`]), and no existing
+//! posting is touched. [`Collection::merge_from`] replaces the suffix
+//! `segments[k..]` by one merged segment, so only that segment's postings
+//! are built. Global ordinals of documents before the merge point do not
+//! move, so the records of `segments[..k]` stay valid and stay shared by
+//! [`Arc`]. Declaring an index on a live collection
+//! ([`Collection::create_index`]) rewrites every record once, adding the
+//! new index's postings beside the existing ones.
 //!
 //! Planning ([`IndexSet::plan`]) flattens a conjunctive filter and splits
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
@@ -50,37 +54,34 @@ use jnl::bitset::BitSet;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
+use crate::column::{Segment, Segments};
 use crate::{cmp_node_json, cmp_nodes, expect_ungoverned, Cmp, Collection, DocRef, Filter, Path};
 
-/// All secondary indexes of one [`Collection`]. Empty (the default) until
-/// [`Collection::create_index`] declares a path; an empty set costs
-/// nothing on insert.
+/// The secondary indexes declared on one [`Collection`]. Empty (the
+/// default) until [`Collection::create_index`] declares a path; an empty
+/// set costs nothing on insert.
 ///
-/// Per-segment postings are immutable once built (a segment's contents
-/// never change; maintenance only *appends* new per-segment entries or
-/// replaces a merged suffix), so they sit behind [`Arc`]s and cloning an
-/// `IndexSet` — which `Collection::clone` does for every snapshot — is
-/// one reference bump per `(path, segment)` pair, never a posting
-/// rebuild. The canonical classes the hash side is keyed by are the
-/// segment trees' own cached tables ([`JsonTree::canon`]).
+/// The set holds only the declarations; the postings live in the segment
+/// records ([`Segment`]). Declarations change only on
+/// [`Collection::create_index`], so they sit behind one [`Arc`] and
+/// cloning an `IndexSet` — which `Collection::clone` does for every
+/// snapshot — is one reference bump.
 #[derive(Default, Clone)]
 pub struct IndexSet {
     /// One index per declared path, in declaration order.
-    paths: Vec<PathIndex>,
+    paths: Arc<Vec<PathIndex>>,
 }
 
-/// One declared index: the dotted path and its per-segment postings.
+/// One declared index.
 #[derive(Clone)]
 struct PathIndex {
     /// The declared path, as written (`"name.first"`).
     name: String,
     path: Path,
-    /// Parallel to `Collection::segments`.
-    segs: Vec<Arc<SegPosting>>,
 }
 
-/// The postings of one `(path, segment)` pair.
-struct SegPosting {
+/// The postings of one `(path, segment)` pair, immutable once built.
+pub(crate) struct SegPosting {
     /// canon class → ascending global document ordinals (the hash side).
     eq: HashMap<u32, Vec<u32>>,
     /// `(global ordinal, resolved value node)` ordered by
@@ -111,13 +112,14 @@ pub(crate) struct IndexPlan<'f> {
     pub(crate) residual: Vec<&'f Filter>,
 }
 
-/// Builds the postings of one `(path, segment)` pair from the segment's
-/// `(ordinal, doc-root)` list.
-fn build_posting(path: &Path, tree: &JsonTree, docs: &[(u32, NodeId)]) -> SegPosting {
+/// Builds the postings of `path` over one segment's documents.
+fn build_posting(path: &Path, seg: &Segment) -> SegPosting {
+    let tree: &JsonTree = seg.tree();
     let canon = tree.canon();
     let mut eq: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut sorted: Vec<(u32, NodeId)> = Vec::new();
-    for &(ord, doc) in docs {
+    for (i, &doc) in seg.docs().iter().enumerate() {
+        let ord = (seg.first() + i) as u32;
         if let Some(v) = path.resolve_node(tree, doc) {
             eq.entry(canon.class_of(v)).or_default().push(ord);
             sorted.push((ord, v));
@@ -126,33 +128,6 @@ fn build_posting(path: &Path, tree: &JsonTree, docs: &[(u32, NodeId)]) -> SegPos
     // Ordinal tiebreak keeps the column deterministic across rebuilds.
     sorted.sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, nb).then(oa.cmp(&ob)));
     SegPosting { eq, sorted }
-}
-
-/// Groups the document ordinals of `segments[from..]` by segment:
-/// `out[s - from]` lists the `(global ordinal, doc-root)` pairs of segment
-/// `s`, in order. Documents are stored in segment order, so the ones
-/// before `from` are skipped without being visited.
-fn group_by_segment(from: usize, n_segs: usize, doc_refs: &[DocRef]) -> Vec<Vec<(u32, NodeId)>> {
-    let first = doc_refs.partition_point(|d| (d.seg as usize) < from);
-    let mut per: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n_segs - from];
-    for (i, d) in doc_refs.iter().enumerate().skip(first) {
-        per[d.seg as usize - from].push((i as u32, d.node));
-    }
-    per
-}
-
-/// The postings of `path` over `segments[from..]`.
-fn build_postings(
-    path: &Path,
-    from: usize,
-    segments: &[Arc<JsonTree>],
-    doc_refs: &[DocRef],
-) -> Vec<Arc<SegPosting>> {
-    group_by_segment(from, segments.len(), doc_refs)
-        .iter()
-        .zip(&segments[from..])
-        .map(|(docs, tree)| Arc::new(build_posting(path, tree, docs)))
-        .collect()
 }
 
 impl IndexSet {
@@ -178,69 +153,14 @@ impl IndexSet {
         &self.paths[i].name
     }
 
-    /// Declares an index on `path_str`, building it over the current
-    /// column. Returns `false` (and changes nothing) if already declared.
-    pub(crate) fn create(
-        &mut self,
-        path_str: &str,
-        segments: &[Arc<JsonTree>],
-        doc_refs: &[DocRef],
-    ) -> bool {
-        if self.paths.iter().any(|p| p.name == path_str) {
-            return false;
-        }
-        let path = Path::parse(path_str);
-        let segs = build_postings(&path, 0, segments, doc_refs);
-        self.paths.push(PathIndex {
-            name: path_str.to_owned(),
-            path,
-            segs,
-        });
-        true
-    }
-
-    /// Incremental maintenance for [`Collection::insert`]: the new
-    /// single-document segment at `doc_refs[new_ordinal]` gets one posting
-    /// per declared index (building the segment's canon table); existing
-    /// postings are untouched. No-op while no index is declared.
-    pub(crate) fn add_segment(
-        &mut self,
-        segments: &[Arc<JsonTree>],
-        new_ordinal: usize,
-        doc_refs: &[DocRef],
-    ) {
-        if self.paths.is_empty() {
-            return;
-        }
-        let d = doc_refs[new_ordinal];
-        let tree = &segments[d.seg as usize];
-        let docs = [(new_ordinal as u32, d.node)];
-        for pi in &mut self.paths {
-            debug_assert_eq!(
-                d.seg as usize,
-                pi.segs.len(),
-                "segments append one at a time"
-            );
-            pi.segs.push(Arc::new(build_posting(&pi.path, tree, &docs)));
-        }
-    }
-
-    /// Partial rebuild for [`Collection::merge_from`]: `segments[from..]`
-    /// was just replaced by one merged segment whose node ids and classes
-    /// are all new, so every index drops its postings from `from` on and
-    /// builds that segment's. Postings of `segments[..from]` are kept as
-    /// they are: their documents keep their global ordinals.
-    pub(crate) fn rebuild_from(
-        &mut self,
-        from: usize,
-        segments: &[Arc<JsonTree>],
-        doc_refs: &[DocRef],
-    ) {
-        for pi in &mut self.paths {
-            pi.segs.truncate(from);
-            pi.segs
-                .extend(build_postings(&pi.path, from, segments, doc_refs));
-        }
+    /// The postings of `seg` for every declared index (building the
+    /// segment's canon table on first use). Empty while no index is
+    /// declared.
+    pub(crate) fn postings_for(&self, seg: &Segment) -> Arc<[Arc<SegPosting>]> {
+        self.paths
+            .iter()
+            .map(|p| Arc::new(build_posting(&p.path, seg)))
+            .collect()
     }
 
     /// Splits a conjunctive filter into index probes + residual. `None`
@@ -286,16 +206,10 @@ impl IndexSet {
 
     /// Runs one probe of the index at `pi`, inserting every matching
     /// document ordinal into `out`.
-    fn probe_into(
-        &self,
-        pi: usize,
-        probe: &Probe<'_>,
-        segments: &[Arc<JsonTree>],
-        out: &mut BitSet,
-    ) {
-        let index = &self.paths[pi];
-        for (seg, posting) in index.segs.iter().enumerate() {
-            let tree = &segments[seg];
+    fn probe_into(&self, pi: usize, probe: &Probe<'_>, segments: &Segments, out: &mut BitSet) {
+        for seg in segments.iter() {
+            let posting = &seg.postings()[pi];
+            let tree: &JsonTree = seg.tree();
             match probe {
                 Probe::Eq(v) => eq_hits(posting, tree, v, out),
                 Probe::In(items) => {
@@ -311,16 +225,16 @@ impl IndexSet {
     /// Executes a plan: probes materialise bitmaps (byte budget charged
     /// per bitmap), intersect in place with early exit on empty, then the
     /// residual conjuncts run on survivors only (row budget charged, ctx
-    /// polled per document). Output is in ascending ordinal — i.e.
-    /// `(segment, doc)` — order, identical to the scan oracle.
+    /// polled per document). Survivors come out in ascending ordinal —
+    /// i.e. `(segment, doc)` — order, identical to the scan oracle; their
+    /// segments are found by one walk along the column beside them.
     fn execute(
         &self,
         plan: &IndexPlan<'_>,
-        segments: &[Arc<JsonTree>],
-        doc_refs: &[DocRef],
+        segments: &Segments,
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
-        let n = doc_refs.len();
+        let n = segments.doc_count();
         let bitmap_bytes = (n.div_ceil(64) * 8) as u64;
         let mut acc: Option<BitSet> = None;
         for (ordinal, (pi, probe)) in plan.probes.iter().enumerate() {
@@ -347,15 +261,23 @@ impl IndexSet {
         let mut poll = ctx.poller();
         let mut out = Vec::new();
         let mut residual_evals = 0u64;
+        let mut column = segments.iter().enumerate();
+        let mut cur = column.next();
         for i in acc.iter() {
             poll.tick()?;
-            let d = doc_refs[i];
-            let tree = &segments[d.seg as usize];
+            while cur.is_some_and(|(_, s)| s.end() <= i) {
+                cur = column.next();
+            }
+            let (si, seg) = cur.expect("every ordinal lies in a segment");
+            let node = seg.docs()[i - seg.first()];
             if !plan.residual.is_empty() {
                 residual_evals += 1;
             }
-            if plan.residual.iter().all(|f| f.matches_at(tree, d.node)) {
-                out.push(d);
+            if plan.residual.iter().all(|f| f.matches_at(seg.tree(), node)) {
+                out.push(DocRef {
+                    seg: si as u32,
+                    node,
+                });
             }
         }
         ctx.record(Counter::ResidualEvals, residual_evals);
@@ -402,18 +324,25 @@ fn range_hits(posting: &SegPosting, tree: &JsonTree, cmp: Cmp, v: &Json, out: &m
 
 impl Collection {
     /// Declares a secondary index on the dotted path `path` (hash +
-    /// sorted-column, see the module docs), building it over the current
-    /// column. Subsequent [`Collection::insert`]s maintain it
-    /// incrementally; [`Collection::compact`] rebuilds it. Returns
+    /// sorted-column, see the module docs), building its postings into
+    /// every segment record. Subsequent [`Collection::insert`]s and
+    /// merges build the postings of the segments they append. Returns
     /// `false` if the path is already indexed.
     pub fn create_index(&mut self, path: &str) -> bool {
-        let Collection {
-            indexes,
-            segments,
-            doc_refs,
-            ..
-        } = self;
-        indexes.create(path, segments, doc_refs)
+        if self.has_index(path) {
+            return false;
+        }
+        let parsed = Path::parse(path);
+        self.segments = self.segments.map(|seg| {
+            let mut postings = seg.postings().to_vec();
+            postings.push(Arc::new(build_posting(&parsed, seg)));
+            seg.clone().with_postings(postings.into())
+        });
+        Arc::make_mut(&mut self.indexes.paths).push(PathIndex {
+            name: path.to_owned(),
+            path: parsed,
+        });
+        true
     }
 
     /// Whether a secondary index is declared on `path`.
@@ -449,9 +378,7 @@ impl Collection {
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
         match self.indexes.plan(filter) {
-            Some(plan) => self
-                .indexes
-                .execute(&plan, &self.segments, &self.doc_refs, ctx),
+            Some(plan) => self.indexes.execute(&plan, &self.segments, ctx),
             None => self.find_refs_with_ctx(filter, ctx),
         }
     }
